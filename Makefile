@@ -5,14 +5,14 @@
 
 # Chaos suite: every crash/failover/replication fault-injection test across
 # the module. CI runs it under the race detector; nightly repeats it.
-CHAOS_RUN  = Crash|Failover|Recover|Restart|Heartbeat|Liveness|Checkpoint|Journal|Snapshot|Replication|Quorum|Follower|ValueIndex|Switch|Adaptive|CrossProtocol
+CHAOS_RUN  = Crash|Failover|Recover|Restart|Heartbeat|Liveness|Checkpoint|Journal|Snapshot|Replication|Quorum|Follower|ValueIndex|CrossProtocol
 CHAOS_PKGS = . ./internal/recovery ./internal/sched ./internal/store ./internal/harness
 CHAOS_COUNT ?= 3
 
 # Hot-path benchmarks: the multi-iteration pass benchjson gates against
 # BENCH_baseline.json (-max-regress AND -require: a hot benchmark missing
 # from the baseline fails the job).
-HOT_BENCH = BenchmarkDistributedTxn$$|BenchmarkFig12Throughput|BenchmarkFigDocsScaling|BenchmarkSnapshotReadScaling|BenchmarkQueryCache|BenchmarkPersistSnapshot|BenchmarkQuorumCommit|BenchmarkFollowerReadScaling|BenchmarkPredicateQuery|BenchmarkObsOverhead|BenchmarkAdaptiveProtocol
+HOT_BENCH = BenchmarkDistributedTxn$$|BenchmarkFig12Throughput|BenchmarkFigDocsScaling|BenchmarkSnapshotReadScaling|BenchmarkQueryCache|BenchmarkPersistSnapshot|BenchmarkQuorumCommit|BenchmarkFollowerReadScaling|BenchmarkPredicateQuery|BenchmarkObsOverhead
 
 FUZZTIME ?= 10s
 

@@ -458,31 +458,6 @@ func BenchmarkAblationProtocol(b *testing.B) {
 	}
 }
 
-// BenchmarkAdaptiveProtocol runs the hot-key skewed mixed OLTP/analytics
-// scenario — the workload with no good static protocol choice — under the
-// two static extremes and the adaptive scheduler. Adaptive starts on the
-// middle rung (node2pl) and is expected to land between the loser and the
-// winner, paying the switch drains along the way. Part of the gated
-// HOT_BENCH set, so it runs unprofiled.
-func BenchmarkAdaptiveProtocol(b *testing.B) {
-	for _, proto := range []string{"node2pl", "doclock", "adaptive"} {
-		b.Run(proto, func(b *testing.B) {
-			p := benchParams(proto)
-			p.Partial = false
-			p.Sites = 2
-			p.Clients = 10
-			p.TxPerClient = 20
-			p.UpdateTxPct = 80
-			p.UpdateOpPct = 60
-			p.HotKeyZipf = 2.5
-			p.AnalyticsPct = 30
-			p.DeadlockInterval = 5 * time.Millisecond
-			p.AdaptiveWindow = 10 * time.Millisecond
-			runWorkload(b, p)
-		})
-	}
-}
-
 // BenchmarkAblationDeadlockPeriod varies the period of the distributed
 // deadlock detector: short periods find cycles quickly but cost messages.
 func BenchmarkAblationDeadlockPeriod(b *testing.B) {

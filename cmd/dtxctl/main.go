@@ -28,6 +28,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -141,7 +142,8 @@ func main() {
 	}
 }
 
-// printStatus renders the site's SiteStatusResp.
+// printStatus fetches the site's SiteStatusResp and renders it. It exits 4
+// while in-doubt transactions remain.
 func printStatus(ctx context.Context, node *transport.TCPNode) {
 	resp, err := node.Send(ctx, 0, transport.SiteStatusReq{})
 	if err != nil {
@@ -151,49 +153,49 @@ func printStatus(ctx context.Context, node *transport.TCPNode) {
 	if !ok {
 		fatal(fmt.Errorf("unexpected response %T", resp))
 	}
+	writeStatus(os.Stdout, st)
+	if len(st.InDoubt) > 0 {
+		// In-doubt transactions on a running site usually just mean persists
+		// in flight; `dtxctl -recover` drains and resolves whatever remains.
+		os.Exit(4)
+	}
+}
+
+// writeStatus renders a SiteStatusResp. The lock protocol is static per
+// site, so it is printed once in the site banner.
+func writeStatus(w io.Writer, st transport.SiteStatusResp) {
 	state := "serving"
 	if !st.Ready {
 		state = "recovering"
 	}
-	fmt.Printf("site %d: %s\n", st.Site, state)
-	fmt.Printf("txns: %d committed, %d aborted, %d failed\n", st.Committed, st.Aborted, st.Failed)
+	fmt.Fprintf(w, "site %d: %s, protocol %s\n", st.Site, state, st.Protocol)
+	fmt.Fprintf(w, "txns: %d committed, %d aborted, %d failed\n", st.Committed, st.Aborted, st.Failed)
 	if len(st.Docs) > 0 {
-		fmt.Printf("documents (%d):\n", len(st.Docs))
+		fmt.Fprintf(w, "documents (%d):\n", len(st.Docs))
 		for _, d := range st.Docs {
-			// Under adaptive concurrency control the active protocol is per
-			// document and can change over a run, so it belongs next to the
-			// replication role rather than in the site banner.
-			proto := ""
-			if d.Protocol != "" {
-				proto = fmt.Sprintf(" [%s]", d.Protocol)
-			}
 			if d.Role == "primary" {
-				fmt.Printf("  %s%s: primary, head %d\n", d.Name, proto, d.Head)
+				fmt.Fprintf(w, "  %s: primary, head %d\n", d.Name, d.Head)
 				continue
 			}
 			lag := "caught up"
 			if d.Behind > 0 {
 				lag = fmt.Sprintf("%d record(s) behind head %d", d.Behind, d.Head)
 			}
-			fmt.Printf("  %s%s: replica of site %d, applied %d, %s\n",
-				d.Name, proto, d.Primary, d.Applied, lag)
+			fmt.Fprintf(w, "  %s: replica of site %d, applied %d, %s\n",
+				d.Name, d.Primary, d.Applied, lag)
 		}
 	} else {
-		fmt.Printf("documents (%d): %s\n", len(st.Documents), strings.Join(st.Documents, ", "))
+		fmt.Fprintf(w, "documents (%d): %s\n", len(st.Documents), strings.Join(st.Documents, ", "))
 	}
 	for _, p := range st.Peers {
-		fmt.Printf("peer %d: %s\n", p.Site, p.Status)
+		fmt.Fprintf(w, "peer %d: %s\n", p.Site, p.Status)
 	}
 	if len(st.InDoubt) == 0 {
-		fmt.Println("in-doubt: none")
-		return
+		fmt.Fprintln(w, "in-doubt: none")
 	}
 	for _, d := range st.InDoubt {
-		fmt.Printf("in-doubt: %s (%s)\n", d.Txn, strings.Join(d.Docs, ", "))
+		fmt.Fprintf(w, "in-doubt: %s (%s)\n", d.Txn, strings.Join(d.Docs, ", "))
 	}
-	// In-doubt transactions on a running site usually just mean persists in
-	// flight; `dtxctl -recover` drains and resolves whatever remains.
-	os.Exit(4)
 }
 
 // printMetrics dumps the site's registry in Prometheus text format — the

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/transport"
 	"repro/internal/txn"
 	"repro/internal/xmltree"
 	"repro/internal/xupdate"
@@ -95,5 +97,32 @@ func TestParseSpecAttrs(t *testing.T) {
 	}
 	if len(spec.Attrs) != 1 || spec.Attrs[0].Name != "vip" {
 		t.Fatalf("attrs = %v", spec.Attrs)
+	}
+}
+
+// TestWriteStatusProtocolOncePerSite checks the status view prints the
+// site's static lock protocol in the banner and not per document.
+func TestWriteStatusProtocolOncePerSite(t *testing.T) {
+	var buf strings.Builder
+	writeStatus(&buf, transport.SiteStatusResp{
+		Site:     1,
+		Ready:    true,
+		Protocol: "node2pl",
+		Docs: []transport.DocStatus{
+			{Name: "d1", Primary: 1, Role: "primary", Head: 7},
+			{Name: "d2", Primary: 0, Role: "replica", Applied: 3, Head: 5, Behind: 2},
+		},
+	})
+	out := buf.String()
+	if !strings.HasPrefix(out, "site 1: serving, protocol node2pl\n") {
+		t.Fatalf("banner missing protocol:\n%s", out)
+	}
+	if n := strings.Count(out, "node2pl"); n != 1 {
+		t.Fatalf("protocol printed %d times, want once:\n%s", n, out)
+	}
+	for _, want := range []string{"  d1: primary, head 7\n", "  d2: replica of site 0, applied 3, 2 record(s) behind head 5\n", "in-doubt: none\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in:\n%s", want, out)
+		}
 	}
 }

@@ -57,8 +57,6 @@ func main() {
 	listen := flag.String("listen", ":7070", "address to listen on")
 	storeDir := flag.String("store", "./dtxdata", "document store directory")
 	protocol := flag.String("protocol", "xdgl", "locking protocol: xdgl | node2pl | doclock")
-	adaptive := flag.Bool("adaptive", false, "adapt each document's locking protocol at run time from observed contention (-protocol sets the starting point)")
-	adaptWindow := flag.Duration("adapt-window", 0, "adaptive policy sampling window (0 uses the built-in default)")
 	deadlockMs := flag.Int("deadlock-ms", 50, "distributed deadlock check period (ms)")
 	journalOn := flag.Bool("journal", true, "write-ahead log commits to <store>/commit.log")
 	recoverFlag := flag.Bool("recover", false, "start in crash-recovery mode: resolve journal in-doubt transactions and catch documents up from live replicas before serving")
@@ -123,7 +121,6 @@ func main() {
 		DeadlockInterval:  time.Duration(*deadlockMs) * time.Millisecond,
 		HeartbeatInterval: time.Duration(*heartbeatMs) * time.Millisecond,
 		Recovering:        *recoverFlag,
-		Adaptive:          sched.AdaptiveConfig{Enabled: *adaptive, Window: *adaptWindow},
 	}
 	if *slowTxn >= 0 {
 		cfg.SlowTxnThreshold = *slowTxn
@@ -202,12 +199,8 @@ func main() {
 			}
 		}
 	}
-	mode := proto.Name()
-	if *adaptive {
-		mode += ", adaptive"
-	}
 	fmt.Printf("dtxd: site %d serving on %s (protocol %s, %d peer(s))\n",
-		*siteID, node.Addr(), mode, len(peerAddrs))
+		*siteID, node.Addr(), proto.Name(), len(peerAddrs))
 
 	if *metricsAddr != "" {
 		// Serving metrics arms the gated instrumentation up front, so the

@@ -101,9 +101,16 @@ func TestMetricsEndpoints(t *testing.T) {
 		"dtx_2pc_decision_write_seconds_bucket",
 		"dtx_persist_save_seconds_bucket",
 		`dtx_site_ready{site="0"} 1`,
+		`dtx_doc_ops_executed_total{site="0",doc="d1"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	// The protocol is static per site, so no per-document protocol series.
+	for _, gone := range []string{"dtx_doc_protocol_rung", "dtx_protocol_switches_total"} {
+		if strings.Contains(text, gone) {
+			t.Errorf("/metrics still exposes %q", gone)
 		}
 	}
 

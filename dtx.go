@@ -83,21 +83,9 @@ const (
 type Config struct {
 	// Sites is the number of DTX instances (default 1).
 	Sites int
-	// Protocol selects the locking protocol (default XDGL). With Adaptive
-	// set it is the protocol every document starts under.
+	// Protocol selects the locking protocol (default XDGL). Every site runs
+	// it for its whole lifetime.
 	Protocol Protocol
-	// Adaptive enables run-time adaptive concurrency control: each site runs
-	// a policy loop that samples every document's conflict rate, lock-wait
-	// p99 and deadlock rate over a sliding window and switches the document
-	// between doclock, node2pl and xdgl at quiescent points (drain the
-	// domain's lock table, swap, resume), with hysteresis against flapping.
-	// The active per-document protocol and the switch counters surface
-	// through the metrics registry (dtx_doc_protocol_rung,
-	// dtx_protocol_switches_total) and dtxctl -status.
-	Adaptive bool
-	// AdaptiveWindow is the adaptive policy's sampling window (default
-	// 50ms). The remaining thresholds use the sched.AdaptiveConfig defaults.
-	AdaptiveWindow time.Duration
 	// NetworkLatency injects synthetic one-way latency between sites.
 	NetworkLatency time.Duration
 	// DeadlockCheckInterval is the period of the distributed deadlock
@@ -134,10 +122,6 @@ type Config struct {
 	// versions: a version pinned by a live reader is never retired under it.
 	// Zero selects the default (4).
 	SnapshotVersions int
-	// SnapshotRetention, when positive, additionally ages unpinned versions
-	// out of the chain once they have been superseded for this long, even
-	// while the chain is under SnapshotVersions.
-	SnapshotRetention time.Duration
 	// Replication selects the write-replication mode. Empty or "eager" is
 	// the original semantics: every write executes at every replica, and a
 	// partially-down replica set refuses writes with ErrReplicaUnavailable.
@@ -302,7 +286,6 @@ func (c *Cluster) buildSite(i int, recovering bool) (*sched.Site, error) {
 		SiteID:            i,
 		Sites:             c.ids,
 		Protocol:          c.protocol,
-		Adaptive:          sched.AdaptiveConfig{Enabled: c.cfg.Adaptive, Window: c.cfg.AdaptiveWindow},
 		Catalog:           c.catalog,
 		Store:             c.stores[i],
 		DeadlockInterval:  c.cfg.DeadlockCheckInterval,
@@ -312,7 +295,6 @@ func (c *Cluster) buildSite(i int, recovering bool) (*sched.Site, error) {
 		HeartbeatInterval: hb,
 		HeartbeatMisses:   c.cfg.HeartbeatMisses,
 		SnapshotVersions:  c.cfg.SnapshotVersions,
-		SnapshotRetention: c.cfg.SnapshotRetention,
 		Replication:       c.cfg.Replication,
 		WriteQuorum:       c.cfg.WriteQuorum,
 		MaxStaleness:      c.cfg.MaxStaleness,
@@ -560,20 +542,8 @@ func (c *Cluster) TotalStats() Stats {
 		t.ReplStaleRefusals += st.ReplStaleRefusals
 		t.ReplCatchupRecords += st.ReplCatchupRecords
 		t.IndexedQueries += st.IndexedQueries
-		t.ProtocolSwitches += st.ProtocolSwitches
 	}
 	return t
-}
-
-// DocProtocol reports the lock protocol currently active on a document's
-// scheduling domain at the given site — with Adaptive enabled it can differ
-// per document and change over a run. Empty when the site does not hold the
-// document.
-func (c *Cluster) DocProtocol(site int, doc string) (string, error) {
-	if site < 0 || site >= len(c.ids) {
-		return "", fmt.Errorf("%w: site %d (cluster has %d)", ErrSiteOutOfRange, site, len(c.ids))
-	}
-	return c.site(site).DocProtocol(doc), nil
 }
 
 // Metrics returns one site's observability registry (see internal/obs): the

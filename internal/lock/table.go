@@ -82,7 +82,8 @@ type Table struct {
 	guide  *dataguide.DataGuide
 	grants map[grantKey][]grant
 	// held tracks, per transaction, the set of (node, mode) pairs already
-	// granted so duplicate requests are absorbed quickly.
+	// granted, so the absorption check only scans a grant list when the
+	// transaction holds the mode at all.
 	held map[txn.ID]map[grantKey]uint16
 }
 
@@ -100,8 +101,18 @@ func (t *Table) Guide() *dataguide.DataGuide { return t.guide }
 
 func modeBit(m Mode) uint16 { return 1 << uint(m) }
 
-func (t *Table) holds(id txn.ID, key grantKey, m Mode) bool {
-	return t.held[id][key]&modeBit(m) != 0
+// heldByOp reports whether the owner's own operation already holds an
+// unguarded grant of mode m on key.
+func (t *Table) heldByOp(o Owner, key grantKey, m Mode) bool {
+	if t.held[o.Txn][key]&modeBit(m) == 0 {
+		return false
+	}
+	for _, gr := range t.grants[key] {
+		if gr.txn == o.Txn && gr.op == o.Op && gr.mode == m && gr.guard == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // conflictsAt collects holders on one lock target that are incompatible
@@ -132,8 +143,11 @@ func (t *Table) conflictsFor(requester txn.ID, req Request, out map[txn.ID]txn.T
 // Acquire attempts to grant every request to the owner atomically. If any
 // request conflicts, nothing is granted and the full set of conflicting
 // transactions is returned, so the scheduler can add wait-for edges for all
-// of them at once. Duplicate requests and requests already held by the
-// owner are absorbed.
+// of them at once. Duplicate requests and requests the owner's operation
+// already holds are absorbed. A lock the transaction holds only through a
+// different operation is granted again to this one: ReleaseOp of either
+// operation must leave the other's lock in place, and concurrent queries of
+// one transaction can be granted in any order and undone independently.
 func (t *Table) Acquire(owner Owner, reqs []Request) []Conflict {
 	conflicts := make(map[txn.ID]txn.TS)
 	// First pass: conflict check only.
@@ -144,10 +158,10 @@ func (t *Table) Acquire(owner Owner, reqs []Request) []Conflict {
 			continue
 		}
 		key := req.key()
-		// Absorption: an unguarded held lock of the same mode covers any
-		// re-request; guarded grants are conservatively re-acquired (the
-		// bitmask only records unguarded holds).
-		if req.Guard == nil && t.holds(owner.Txn, key, req.Mode) {
+		// Absorption: an unguarded lock of the same mode held by this very
+		// operation covers a re-request; guarded grants are conservatively
+		// re-acquired (the bitmask only records unguarded holds).
+		if req.Guard == nil && t.heldByOp(owner, key, req.Mode) {
 			continue
 		}
 		if req.Guard == nil {
@@ -247,18 +261,6 @@ func (t *Table) ReleaseAll(id txn.ID) int {
 	delete(t.held, id)
 	return released
 }
-
-// Held reports whether the transaction holds at least one lock. Cheaper than
-// HeldBy for admission checks: one map lookup, no grant walk.
-func (t *Table) Held(id txn.ID) bool {
-	return len(t.held[id]) > 0
-}
-
-// OwnerCount returns the number of distinct transactions holding at least one
-// lock — the quiescence condition of an online protocol switch: a table with
-// zero owners has no in-flight strict-2PL transaction whose footprint could
-// straddle two protocols.
-func (t *Table) OwnerCount() int { return len(t.held) }
 
 // HeldBy returns the number of grants currently held by the transaction.
 func (t *Table) HeldBy(id txn.ID) int {

@@ -122,13 +122,39 @@ func TestReleaseOpKeepsEarlierOps(t *testing.T) {
 		t.Fatalf("modes = %v", got)
 	}
 	// Releasing an op that re-requested an existing lock must not drop it:
-	// op 2 asks for ST on product (absorbed), then is released.
+	// op 2 asks for ST on product (granted to op 2 too), then is released.
 	if c := tbl.Acquire(Owner{Txn: id, TS: 1, Op: 2}, []Request{{Node: product, Mode: ST}}); c != nil {
 		t.Fatal(c)
 	}
 	tbl.ReleaseOp(id, 2)
 	if tbl.HeldBy(id) != 1 {
 		t.Fatal("absorbed re-request was released with the later op")
+	}
+}
+
+// TestReleaseOpKeepsSiblingOpLock: two concurrent queries of one
+// transaction request the same lock, the later-numbered one first. Undoing
+// that one must not strip the lock the other was granted on, or a writer
+// slips in between the transaction's reads (a non-repeatable read that
+// the cross-protocol serializability check caught under doclock).
+func TestReleaseOpKeepsSiblingOpLock(t *testing.T) {
+	g := guide(t)
+	tbl := NewTable(g)
+	product := g.Lookup("/products/product")
+	reader := txn.ID{Site: 1, Seq: 1}
+	if c := tbl.Acquire(Owner{Txn: reader, TS: 1, Op: 1}, []Request{{Node: product, Mode: ST}}); c != nil {
+		t.Fatal(c)
+	}
+	if c := tbl.Acquire(Owner{Txn: reader, TS: 1, Op: 0}, []Request{{Node: product, Mode: ST}}); c != nil {
+		t.Fatal(c)
+	}
+	tbl.ReleaseOp(reader, 1)
+	if got := tbl.Modes(reader, product); len(got) != 1 || got[0] != ST {
+		t.Fatalf("op 0 lost its lock with op 1's undo: modes = %v", got)
+	}
+	writer := Owner{Txn: txn.ID{Site: 2, Seq: 1}, TS: 2, Op: 0}
+	if c := tbl.Acquire(writer, []Request{{Node: product, Mode: X}}); len(c) != 1 || c[0].Txn != reader {
+		t.Fatalf("writer conflicts = %v, want the reader", c)
 	}
 }
 

@@ -13,7 +13,6 @@ package mvcc
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/txn"
 	"repro/internal/vindex"
@@ -30,8 +29,7 @@ type Version struct {
 	// Doc is the immutable committed tree.
 	Doc *xmltree.Document
 
-	pins      int
-	published time.Time
+	pins int
 
 	// idx is the version's value index, built lazily by the first indexable
 	// snapshot read pinned to this version and immutable afterwards — it is
@@ -60,10 +58,6 @@ type Options struct {
 	// 4). Pinned versions are always kept, so the real bound is
 	// max(MaxVersions, pinned+1): GC never drops a version a reader holds.
 	MaxVersions int
-	// Retention, when positive, additionally retires unpinned non-head
-	// versions older than this age even while the chain is under
-	// MaxVersions. Zero disables age-based retirement.
-	Retention time.Duration
 }
 
 // DefaultMaxVersions is the retained-version bound when Options.MaxVersions
@@ -81,7 +75,6 @@ type Chain struct {
 	// commits have happened that no published version reflects yet.
 	commitTS  txn.TS
 	maxKeep   int
-	retention time.Duration
 	reclaimed int64 // versions retired by gcLocked over the chain's lifetime
 }
 
@@ -91,7 +84,7 @@ func NewChain(opts Options) *Chain {
 	if keep <= 0 {
 		keep = DefaultMaxVersions
 	}
-	return &Chain{maxKeep: keep, retention: opts.Retention}
+	return &Chain{maxKeep: keep}
 }
 
 // Publish appends a committed tree stamped ts as the new head. A publish at
@@ -107,7 +100,7 @@ func (c *Chain) Publish(doc *xmltree.Document, ts txn.TS) bool {
 	if n := len(c.versions); n > 0 && c.versions[n-1].TS >= ts {
 		return false
 	}
-	c.versions = append(c.versions, &Version{TS: ts, Doc: doc, published: time.Now()})
+	c.versions = append(c.versions, &Version{TS: ts, Doc: doc})
 	c.gcLocked()
 	return true
 }
@@ -206,16 +199,14 @@ func (c *Chain) Reclaimed() int64 {
 
 // gcLocked retires versions: the head is always kept, pinned versions are
 // never dropped, and unpinned non-head versions are dropped oldest-first
-// while the chain is over its size bound, or individually once aged past
-// Retention. A pinned version shields only itself — unpinned versions
-// published after it are still eligible — so the chain stays bounded by
-// maxKeep plus the number of distinct pinned versions even under a long
-// reader.
+// while the chain is over its size bound. A pinned version shields only
+// itself — unpinned versions published after it are still eligible — so the
+// chain stays bounded by maxKeep plus the number of distinct pinned versions
+// even under a long reader.
 func (c *Chain) gcLocked() {
 	if len(c.versions) <= 1 {
 		return
 	}
-	now := time.Now()
 	excess := len(c.versions) - c.maxKeep
 	out := c.versions[:0]
 	last := len(c.versions) - 1
@@ -224,11 +215,8 @@ func (c *Chain) gcLocked() {
 			out = append(out, v)
 			continue
 		}
-		aged := c.retention > 0 && now.Sub(v.published) > c.retention
-		if excess > 0 || aged {
-			if excess > 0 {
-				excess--
-			}
+		if excess > 0 {
+			excess--
 			continue
 		}
 		out = append(out, v)

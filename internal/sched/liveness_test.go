@@ -128,7 +128,7 @@ func TestStatusMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := resp.(transport.SiteStatusResp)
-	if !st.Ready || st.Site != 0 || len(st.Documents) != 1 || st.Committed != 1 {
+	if !st.Ready || st.Site != 0 || st.Protocol != sites[0].Protocol().Name() || len(st.Documents) != 1 || st.Committed != 1 {
 		t.Fatalf("status = %+v", st)
 	}
 }

@@ -107,20 +107,9 @@ func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 
-	// A protocol switch is draining this domain: transactions holding no
-	// locks here yet are refused admission — acquired:false with no
-	// conflicts parks them in the coordinator's wait mode, and the retry
-	// interval readmits them under the new protocol once the swap lands.
-	// Transactions already holding locks pass, so the drain's quiescence
-	// condition (zero lock owners) is reachable: strict 2PL releases their
-	// footprint at commit or abort.
-	if ds.draining && !ds.table.Held(id) {
-		return localResult{acquired: false}
-	}
-
-	// Translate the operation into lock requests under the domain's active
-	// protocol. Queries go through the site's parse cache; update targets
-	// are pre-parsed on the Update itself.
+	// Translate the operation into lock requests under the site's protocol.
+	// Queries go through the site's parse cache; update targets are
+	// pre-parsed on the Update itself.
 	var reqs []lock.Request
 	var q *xpath.Query
 	var err error
@@ -128,10 +117,10 @@ func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op
 	case txn.OpQuery:
 		q, err = s.queries.Get(op.Query)
 		if err == nil {
-			reqs, err = ds.proto.QueryRequests(ds.doc, ds.guide, q)
+			reqs, err = s.cfg.Protocol.QueryRequests(ds.doc, ds.guide, q)
 		}
 	case txn.OpUpdate:
-		reqs, err = ds.proto.UpdateRequests(ds.doc, ds.guide, op.Update)
+		reqs, err = s.cfg.Protocol.UpdateRequests(ds.doc, ds.guide, op.Update)
 	default:
 		err = fmt.Errorf("unknown operation kind %d", op.Kind)
 	}

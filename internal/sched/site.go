@@ -58,17 +58,10 @@ type Config struct {
 	SiteID int
 	// Sites lists every site in the system, for deadlock detection sweeps.
 	Sites []int
-	// Protocol is the concurrency-control protocol (default XDGL). With the
-	// adaptive scheduler enabled it is the protocol every document STARTS
-	// under; each document may then move along the granularity ladder at
-	// run time (adapt.go).
+	// Protocol is the concurrency-control protocol (default XDGL). It is
+	// fixed for the site's lifetime: every document at the site acquires
+	// its locks under it.
 	Protocol lock.Protocol
-	// Adaptive configures run-time adaptive concurrency control: when
-	// Enabled, a per-site policy loop samples each document's conflict rate,
-	// windowed lock-wait p99 and deadlock rate every Window and switches the
-	// document between DocLock, Node2PL and XDGL at quiescent points, with
-	// hysteresis (see AdaptiveConfig).
-	Adaptive AdaptiveConfig
 	// Catalog maps documents to the sites holding replicas.
 	Catalog *replica.Catalog
 	// Store is the persistence backend (default in-memory).
@@ -122,9 +115,6 @@ type Config struct {
 	// kept; a reader whose begin timestamp falls below every retained
 	// version is aborted with ErrSnapshotUnavailable.
 	SnapshotVersions int
-	// SnapshotRetention, when positive, additionally retires unpinned old
-	// versions past this age even while the chain is under SnapshotVersions.
-	SnapshotRetention time.Duration
 	// Replication selects the write-replication mode. The default ("", or
 	// ReplicationEager explicitly) keeps the original semantics: every write
 	// executes at every replica and a partially-down replica set refuses
@@ -221,13 +211,6 @@ type CrashHooks struct {
 	// replication-lag injection point (a sleeping hook makes a follower that
 	// knows it lags, which is what the bounded-staleness refusal keys on).
 	BeforeReplApply func(doc string, from int)
-	// BeforeProtocolSwitch fires at the quiescent point of an online
-	// protocol switch: the domain's lock table has drained to zero owners
-	// and admissions are blocked, immediately before the protocol is
-	// swapped — the "mid-switch" crash point. The active protocol is never
-	// persisted, so a site killed here restarts under its configured
-	// default.
-	BeforeProtocolSwitch func(doc, from, to string)
 }
 
 // GrantInfo describes one granted lock for history recording. Guard carries
@@ -258,9 +241,6 @@ type HistoryHook interface {
 func (c Config) withDefaults() Config {
 	if c.Protocol == nil {
 		c.Protocol = lock.XDGL{}
-	}
-	if c.Adaptive.Enabled {
-		c.Adaptive = c.Adaptive.withDefaults()
 	}
 	if c.Catalog == nil {
 		c.Catalog = replica.NewCatalog()
@@ -316,7 +296,9 @@ type Stats struct {
 	ReplStaleRefusals  int64 // snapshot reads refused for exceeding the staleness bound
 	ReplCatchupRecords int64 // replication records applied during recovery catch-up
 	IndexedQueries     int64 // queries answered from a value index instead of an extent scan
-	ProtocolSwitches   int64 // completed online protocol switches (adapt.go)
+	// ProtocolSwitches is always 0: every site runs one static protocol.
+	// It stays because perfbench (a separate module) still reads it.
+	ProtocolSwitches int64
 }
 
 // docState bundles the in-memory representation of one document at a site:
@@ -339,15 +321,6 @@ type docState struct {
 	table *lock.Table
 	graph *wfg.Graph
 	dirty map[txn.ID]bool // transactions with unpersisted changes
-
-	// proto is the lock protocol currently active on this domain, seeded
-	// from Config.Protocol and swapped at quiescent points by SwitchProtocol
-	// (adapt.go). draining blocks new admissions while a switch waits for
-	// the lock table to empty: processOperation refuses transactions that
-	// hold nothing here yet (the coordinator's wait mode retries them) and
-	// admits the rest so the drain can complete. Both guarded by mu.
-	proto    lock.Protocol
-	draining bool
 
 	// met caches this document's child metric handles (resolved once here,
 	// so the hot paths never do a labelled-vec map lookup).
@@ -891,9 +864,7 @@ func (s *Site) markFinishedLocked(id txn.ID, committed bool) {
 // ID returns the site identifier.
 func (s *Site) ID() int { return s.id }
 
-// Protocol returns the configured concurrency-control protocol — the one
-// every document starts under. With the adaptive scheduler enabled, a
-// document's currently ACTIVE protocol may differ; DocProtocol reports it.
+// Protocol returns the site's concurrency-control protocol.
 func (s *Site) Protocol() lock.Protocol { return s.cfg.Protocol }
 
 // Catalog returns the replica catalog the site routes with.
@@ -915,10 +886,6 @@ func (s *Site) Attach(join func(transport.Handler) (transport.Node, error)) erro
 	if s.cfg.HeartbeatInterval > 0 {
 		s.wg.Add(1)
 		go s.heartbeatLoop()
-	}
-	if s.cfg.Adaptive.Enabled {
-		s.wg.Add(1)
-		go s.adaptLoop()
 	}
 	return nil
 }
@@ -1032,7 +999,6 @@ func (s *Site) Stats() Stats {
 		ReplStaleRefusals:  m.staleRefusals.Value(),
 		ReplCatchupRecords: m.catchupRecords.Value(),
 		IndexedQueries:     m.indexedQueries.Value(),
-		ProtocolSwitches:   m.protocolSwitches.Total(),
 	}
 }
 
@@ -1052,10 +1018,7 @@ func (s *Site) newDocState(doc *xmltree.Document, g *dataguide.DataGuide) *docSt
 		g.AttachIndex(vindex.New(s.cfg.IndexedKeys, s.cfg.AutoIndexAfter))
 		g.ReindexAll(doc)
 	}
-	ch := mvcc.NewChain(mvcc.Options{
-		MaxVersions: s.cfg.SnapshotVersions,
-		Retention:   s.cfg.SnapshotRetention,
-	})
+	ch := mvcc.NewChain(mvcc.Options{MaxVersions: s.cfg.SnapshotVersions})
 	ch.Publish(doc.Snapshot(), 0)
 	return &docState{
 		name:     doc.Name,
@@ -1064,7 +1027,6 @@ func (s *Site) newDocState(doc *xmltree.Document, g *dataguide.DataGuide) *docSt
 		table:    lock.NewTable(g),
 		graph:    wfg.New(),
 		dirty:    make(map[txn.ID]bool),
-		proto:    s.cfg.Protocol,
 		versions: ch,
 		met:      s.m.docMetrics(doc.Name),
 	}
@@ -1403,6 +1365,7 @@ func (s *Site) siteStatus() transport.SiteStatusResp {
 	resp := transport.SiteStatusResp{
 		Site:      s.id,
 		Ready:     s.Ready(),
+		Protocol:  s.cfg.Protocol.Name(),
 		Documents: s.Documents(),
 		Peers:     s.PeerStates(),
 		Committed: st.TxnsCommitted,
@@ -1424,7 +1387,6 @@ func (s *Site) siteStatus() transport.SiteStatusResp {
 		ds.mu.Lock()
 		d.Applied = ds.replApplied
 		d.Head = ds.knownHead
-		d.Protocol = ds.proto.Name()
 		ds.mu.Unlock()
 		if d.Applied > d.Head {
 			// The primary's own applied position IS the head.

@@ -180,25 +180,23 @@ type InDoubtTxn struct {
 // DocStatus is one document's replication view at a site: its role there
 // (primary or replica), the last replication-log record it applied, the
 // newest record it knows the primary holds, and the gap between the two.
-// Outside quorum mode Applied/Head/Behind stay zero. Protocol names the lock
-// protocol currently active on the document's scheduling domain — under
-// adaptive concurrency control it can differ per document and change over a
-// run.
+// Outside quorum mode Applied/Head/Behind stay zero.
 type DocStatus struct {
-	Name     string
-	Primary  int
-	Role     string // "primary" | "replica"
-	Applied  int64
-	Head     int64
-	Behind   int64
-	Protocol string
+	Name    string
+	Primary int
+	Role    string // "primary" | "replica"
+	Applied int64
+	Head    int64
+	Behind  int64
 }
 
-// SiteStatusResp reports a site's documents, liveness view, journal
-// in-doubt set and headline counters.
+// SiteStatusResp reports a site's lock protocol, documents, liveness view,
+// journal in-doubt set and headline counters. Protocol is the site's static
+// configured protocol; every document at the site runs under it.
 type SiteStatusResp struct {
 	Site      int
 	Ready     bool
+	Protocol  string
 	Documents []string
 	Docs      []DocStatus
 	Peers     []PeerStatus
